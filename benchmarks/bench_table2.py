@@ -25,7 +25,8 @@ def test_table2_chora(benchmark, name):
     benchmark.extra_info["proved"] = verdict
     benchmark.extra_info["paper"] = dict(suite_entry("table2", name).paper["verdicts"])
     # The unbounded-recursion benchmarks cannot be proved by unrolling alone;
-    # whether this reproduction proves them is recorded in EXPERIMENTS.md.
+    # where this reproduction's verdict differs from the paper is recorded in
+    # docs/deviations.md.
     assert verdict in (True, False)
 
 

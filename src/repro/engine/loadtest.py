@@ -16,8 +16,11 @@ growth shows up as rising latency, then 429s once the admission queue
 fills.  ``concurrency`` worker threads (each holding one keep-alive
 :class:`~repro.service.client.ServiceClient` connection) pull due requests
 from the shared schedule; when all of them are stuck waiting on the
-server, further due requests simply start late, and that lag is reported
-(``lag_p95_ms``) so an under-provisioned *generator* is visible too.
+server, further due requests simply start late.  Latency is measured from
+each request's due instant, so the time a request spent queued behind a
+stalled one counts (timing from the actual send would hide exactly the
+queueing open-loop load exists to expose); the send lag is reported too
+(``lag_p95_ms``), so an under-provisioned *generator* is visible.
 
 Every sample records its status class: 2xx (served), 429 (backpressure),
 504 (deadline expired — when ``deadline_ms`` is set), other HTTP errors,
@@ -63,8 +66,9 @@ def _worker(
     """One generator thread: pull due slots, fire, record.
 
     Samples are ``(status, latency_seconds, lag_seconds)`` where status 0
-    means the request never completed an HTTP conversation and lag is how
-    far past its scheduled instant the request actually started.
+    means the request never completed an HTTP conversation, latency runs
+    from the request's scheduled (due) instant to its answer, and lag is
+    how far past that instant the request was actually sent.
     """
     client = make_client()
     try:
@@ -78,8 +82,7 @@ def _worker(
             delay = due - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
-            started = time.monotonic()
-            lag = max(0.0, started - due)
+            lag = max(0.0, time.monotonic() - due)
             try:
                 response = client.analyze(document, deadline_ms=deadline_ms)
                 status = response.status
@@ -87,7 +90,9 @@ def _worker(
                 status = error.status
             except ServiceError:
                 status = 0
-            latency = time.monotonic() - started
+            # From the due instant, not the send: a request that queued
+            # behind a stall waited for the service, and that is latency.
+            latency = time.monotonic() - due
             with samples_lock:
                 samples.append((status, latency, lag))
     finally:

@@ -229,7 +229,8 @@ def exists(symbols: Sequence[Symbol], body: Formula) -> Formula:
         return body
     if isinstance(body, Exists):
         return Exists(tuple(dict.fromkeys(body.symbols + symbols)), body.body)
-    relevant = tuple(s for s in dict.fromkeys(symbols) if s in free_symbols(body))
+    free = free_symbols(body)
+    relevant = tuple(s for s in dict.fromkeys(symbols) if s in free)
     if not relevant:
         return body
     return Exists(relevant, body)

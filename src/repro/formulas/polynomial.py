@@ -24,6 +24,8 @@ __all__ = ["Monomial", "Polynomial", "Coefficient", "as_polynomial"]
 
 Coefficient = Union[int, Fraction]
 
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class Monomial:
@@ -108,12 +110,14 @@ class Polynomial:
     def __init__(self, terms: Mapping[Monomial, Coefficient] | None = None):
         cleaned: dict[Monomial, Fraction] = {}
         if terms:
+            # A mapping holds each monomial once, so there is nothing to
+            # accumulate: keep the non-zero coefficients, wrapping only
+            # those that are not already Fractions.
             for mono, coeff in terms.items():
-                frac = Fraction(coeff)
-                if frac != 0:
-                    cleaned[mono] = cleaned.get(mono, Fraction(0)) + frac
-                    if cleaned[mono] == 0:
-                        del cleaned[mono]
+                if coeff.__class__ is not Fraction:
+                    coeff = Fraction(coeff)
+                if coeff:
+                    cleaned[mono] = coeff
         self._terms: dict[Monomial, Fraction] = cleaned
 
     # ------------------------------------------------------------------ #
@@ -157,7 +161,7 @@ class Polynomial:
     @property
     def constant_value(self) -> Fraction:
         """The coefficient of the unit monomial."""
-        return self._terms.get(Monomial.unit(), Fraction(0))
+        return self._terms.get(Monomial.unit(), _ZERO)
 
     @property
     def degree(self) -> int:
@@ -178,11 +182,11 @@ class Polynomial:
         return frozenset(out)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
+        return self._terms.get(mono, _ZERO)
 
     def coefficient_of_symbol(self, symbol: Symbol) -> Fraction:
         """Coefficient of the degree-1 monomial of ``symbol`` (linear part)."""
-        return self._terms.get(Monomial.of(symbol), Fraction(0))
+        return self._terms.get(Monomial.of(symbol), _ZERO)
 
     def linear_coefficients(self) -> dict[Symbol, Fraction]:
         """Map from symbols to their degree-1 coefficients."""
@@ -200,7 +204,7 @@ class Polynomial:
         other = as_polynomial(other)
         merged = dict(self._terms)
         for mono, coeff in other._terms.items():
-            merged[mono] = merged.get(mono, Fraction(0)) + coeff
+            merged[mono] = merged[mono] + coeff if mono in merged else coeff
         return Polynomial(merged)
 
     def __radd__(self, other: Coefficient) -> "Polynomial":
@@ -221,7 +225,8 @@ class Polynomial:
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 mono = m1 * m2
-                result[mono] = result.get(mono, Fraction(0)) + c1 * c2
+                product = c1 * c2
+                result[mono] = result[mono] + product if mono in result else product
         return Polynomial(result)
 
     def __rmul__(self, other: Coefficient) -> "Polynomial":
@@ -251,6 +256,9 @@ class Polynomial:
         """Simultaneously substitute polynomials for symbols."""
         if not mapping:
             return self
+        renamed = self._renamed(mapping)
+        if renamed is not None:
+            return renamed
         result = Polynomial.zero()
         for mono, coeff in self._terms.items():
             term = Polynomial.constant(coeff)
@@ -261,6 +269,49 @@ class Polynomial:
                 term = term * (replacement ** power)
             result = result + term
         return result
+
+    def _renamed(self, mapping: Mapping[Symbol, "Polynomial"]) -> "Polynomial | None":
+        """:meth:`substitute` when every replacement that occurs is a variable.
+
+        Renaming only relabels monomials, so the terms are summed directly in
+        the order the general product-and-sum would produce them (a term
+        that cancels is dropped, and reappears at the end if it returns).
+        ``None`` when some occurring replacement is not a plain variable.
+        """
+        terms: dict[Monomial, Fraction] = {}
+        for mono, coeff in self._terms.items():
+            if mono.powers:
+                merged: dict[Symbol, int] = {}
+                for symbol, power in mono.powers:
+                    replacement = mapping.get(symbol)
+                    if replacement is not None:
+                        if replacement.__class__ is not Polynomial:
+                            return None
+                        symbol = replacement._variable()
+                        if symbol is None:
+                            return None
+                    merged[symbol] = merged.get(symbol, 0) + power
+                mono = Monomial.from_mapping(merged)
+            if mono in terms:
+                total = terms[mono] + coeff
+                if total:
+                    terms[mono] = total
+                else:
+                    del terms[mono]
+            else:
+                terms[mono] = coeff
+        result = Polynomial()
+        result._terms = terms
+        return result
+
+    def _variable(self) -> Symbol | None:
+        """The symbol when this polynomial is exactly one variable, else None."""
+        if len(self._terms) != 1:
+            return None
+        ((mono, coeff),) = self._terms.items()
+        if coeff != 1 or len(mono.powers) != 1 or mono.powers[0][1] != 1:
+            return None
+        return mono.powers[0][0]
 
     def rename(self, mapping: Mapping[Symbol, Symbol]) -> "Polynomial":
         """Rename symbols according to ``mapping``."""
@@ -284,14 +335,15 @@ class Polynomial:
     def split_linear(self) -> tuple[dict[Symbol, Fraction], Fraction, "Polynomial"]:
         """Split into (linear coefficients, constant, non-linear remainder)."""
         linear: dict[Symbol, Fraction] = {}
-        constant = Fraction(0)
+        constant = _ZERO
         nonlinear: dict[Monomial, Fraction] = {}
+        # Each monomial occurs once, so every coefficient is taken as is.
         for mono, coeff in self._terms.items():
             if mono.is_unit:
-                constant += coeff
+                constant = coeff
             elif mono.degree == 1:
                 ((s, _),) = mono.powers
-                linear[s] = linear.get(s, Fraction(0)) + coeff
+                linear[s] = coeff
             else:
                 nonlinear[mono] = coeff
         return linear, constant, Polynomial(nonlinear)

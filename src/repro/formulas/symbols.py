@@ -18,12 +18,17 @@ reproducible symbol names.
 
 from __future__ import annotations
 
+import functools
+import operator
+import os
+import threading
+import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 __all__ = [
     "Symbol",
+    "by_name",
     "sym",
     "pre",
     "post",
@@ -43,9 +48,9 @@ __all__ = [
 RETURN_VARIABLE = "return"
 
 
-@dataclass(frozen=True, order=True)
+@functools.total_ordering
 class Symbol:
-    """An immutable symbol.
+    """An immutable, interned symbol.
 
     Attributes
     ----------
@@ -55,25 +60,106 @@ class Symbol:
         True for the post-state copy of a program variable.
     index:
         0 for named program symbols; a positive integer for fresh symbols.
+
+    Equal symbols are one object: the constructor returns the live instance
+    for ``(name, is_primed, index)`` when there is one, so equality is
+    identity.  The hash (the same value as ``hash((name, is_primed,
+    index))``, which fixes set and dict iteration order) and the rendering
+    ``sort_key`` (what ``str`` returns; symbols sort by it throughout) are
+    computed once per instance.  Pickling goes through the constructor, so
+    a loaded symbol is re-interned and re-hashed under the loading
+    process's string-hash seed.
     """
 
-    name: str
-    is_primed: bool = False
-    index: int = 0
+    __slots__ = ("name", "is_primed", "index", "sort_key", "_key", "_hash", "__weakref__")
+
+    def __new__(cls, name: str, is_primed: bool = False, index: int = 0) -> "Symbol":
+        key = (name, is_primed, index)
+        ref = _INTERNED.get(key)
+        if ref is not None:
+            live = ref()
+            if live is not None:
+                return live
+        if not isinstance(name, str) or not isinstance(index, int) or isinstance(index, bool):
+            raise TypeError(f"invalid symbol fields {key!r}")
+        if is_primed not in (False, True):
+            raise TypeError(f"invalid symbol fields {key!r}")
+        key = (str(name), bool(is_primed), int(index))
+        # Check-then-create under the lock: two threads minting the same
+        # symbol must get one object, or equality (identity) would break.
+        with _INTERN_LOCK:
+            ref = _INTERNED.get(key)
+            live = ref() if ref is not None else None
+            if live is None:
+                live = object.__new__(cls)
+                name, is_primed, index = key
+                set_field = object.__setattr__
+                set_field(live, "name", name)
+                set_field(live, "is_primed", is_primed)
+                set_field(live, "index", index)
+                suffix = "'" if is_primed else ""
+                rendered = f"{name}#{index}{suffix}" if index else f"{name}{suffix}"
+                set_field(live, "sort_key", rendered)
+                set_field(live, "_key", key)
+                set_field(live, "_hash", hash(key))
+                _INTERNED[key] = weakref.KeyedRef(live, _forget, key)
+        return live
+
+    def __setattr__(self, attribute: str, value: object) -> None:
+        raise AttributeError(f"Symbol is immutable (cannot set {attribute!r})")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __lt__(self, other: "Symbol") -> bool:
+        if other.__class__ is not Symbol:
+            return NotImplemented
+        return self._key < other._key
+
+    def __reduce__(self):
+        return (Symbol, self._key)
 
     def __str__(self) -> str:
-        suffix = "'" if self.is_primed else ""
-        if self.index:
-            return f"{self.name}#{self.index}{suffix}"
-        return f"{self.name}{suffix}"
+        return self.sort_key
 
     def __repr__(self) -> str:
-        return f"Symbol({self!s})"
+        return f"Symbol({self.sort_key})"
 
     @property
     def is_fresh(self) -> bool:
         """Whether this symbol was generated by :func:`fresh`."""
         return self.index != 0
+
+
+#: ``(name, is_primed, index)`` -> weak reference to the live symbol.
+_INTERNED: dict[tuple, weakref.KeyedRef] = {}
+
+#: Guards every change to ``_INTERNED``.  Re-entrant because the weak
+#: reference callback can run from a garbage collection triggered while
+#: the same thread holds it.
+_INTERN_LOCK = threading.RLock()
+
+
+def _forget(ref: weakref.KeyedRef) -> None:
+    with _INTERN_LOCK:
+        if _INTERNED.get(ref.key) is ref:
+            del _INTERNED[ref.key]
+
+
+def _reset_lock_after_fork() -> None:
+    # A thread of the parent may have held the lock at the fork; the child
+    # has only the forking thread, so it starts with a fresh lock.
+    global _INTERN_LOCK
+    _INTERN_LOCK = threading.RLock()
+
+
+os.register_at_fork(after_in_child=_reset_lock_after_fork)
+
+
+#: Sort key for symbols: their rendering, as ``key=str`` would give.
+by_name = operator.attrgetter("sort_key")
 
 
 def sym(name: str) -> Symbol:

@@ -36,8 +36,10 @@ import pickle
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Sequence
 
-from ..formulas.symbols import Symbol
-from .constraint import LinearConstraint
+from ..formulas.symbols import Symbol, by_name
+from .constraint import ConstraintKind, LinearConstraint
+
+_EQ = ConstraintKind.EQ
 
 if TYPE_CHECKING:  # pragma: no cover - layering: engine imports polyhedra
     from ..engine.storage import CacheStorage
@@ -51,6 +53,7 @@ __all__ = [
     "cache_stats",
     "keep_warm",
     "load_snapshot",
+    "memoized_system",
     "register_cache",
     "restricted_loads",
     "save_snapshot",
@@ -197,8 +200,10 @@ def cache_stats() -> dict[str, dict[str, int]]:
 #: Entry name of the memo snapshot inside its storage namespace.
 SNAPSHOT_NAME = "polyhedra-memo"
 
-#: Bump on incompatible changes to the pickled snapshot layout.
-SNAPSHOT_SCHEMA = 1
+#: Bump on incompatible changes to the pickled snapshot layout.  Version 2:
+#: integer-row constraints and all-integer keys; symbols and constraints
+#: pickle through their constructors, never with a cached hash.
+SNAPSHOT_SCHEMA = 2
 
 #: The closed vocabulary a memo snapshot may contain.  Result-cache
 #: directories are shareable between machines, so a snapshot must be treated
@@ -210,8 +215,6 @@ SNAPSHOT_SCHEMA = 1
 #: tables keyed on richer objects (the abstraction layer's formulas) stay
 #: per-process rather than growing this vocabulary.
 _ALLOWED_CLASSES = {
-    ("builtins", "frozenset"),
-    ("fractions", "Fraction"),
     ("repro.formulas.symbols", "Symbol"),
     ("repro.polyhedra.constraint", "ConstraintKind"),
     ("repro.polyhedra.constraint", "LinearConstraint"),
@@ -350,6 +353,49 @@ def snapshot_stats(storage: "CacheStorage", fingerprint: str) -> dict[str, objec
 # ---------------------------------------------------------------------- #
 # Canonicalisation
 # ---------------------------------------------------------------------- #
+#: Placeholder symbols ``_cv00000, _cv00001, ...``, held so they stay interned.
+_PLACEHOLDERS: list[Symbol] = []
+
+
+def _placeholder(i: int) -> Symbol:
+    while len(_PLACEHOLDERS) <= i:
+        _PLACEHOLDERS.append(Symbol(f"_cv{len(_PLACEHOLDERS):05d}"))
+    return _PLACEHOLDERS[i]
+
+
+def _ordered_symbols(
+    constraints: Sequence[LinearConstraint], extra_symbols: Iterable[Symbol]
+) -> tuple[list[Symbol], dict[Symbol, int], bool]:
+    """The system's symbols in string order, their positions, and whether
+    two of them render alike.
+
+    Without such a tie, renaming to placeholders keeps each constraint's
+    symbol order, so its integer row carries over unchanged.
+    """
+    symbols = sorted(
+        {s for c in constraints for s in c.syms} | set(extra_symbols), key=by_name
+    )
+    ties = len({s.sort_key for s in symbols}) != len(symbols)
+    return symbols, {s: i for i, s in enumerate(symbols)}, ties
+
+
+def _positions(
+    constraint: LinearConstraint, index: dict[Symbol, int], ties: bool
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``constraint`` over placeholder positions: (positions, row) in order."""
+    positions = tuple(map(index.__getitem__, constraint.syms))
+    if ties and list(positions) != sorted(positions):
+        pairs = sorted(zip(positions, constraint.row))
+        return tuple(p for p, _ in pairs), tuple(v for _, v in pairs)
+    return positions, constraint.row
+
+
+def _content(constraint: LinearConstraint, index: dict[Symbol, int], ties: bool) -> tuple:
+    """An all-integer key for one renamed constraint (equal iff equal)."""
+    positions, row = _positions(constraint, index, ties)
+    return (positions, row, constraint.const, constraint.den, constraint.kind is _EQ)
+
+
 def canonical_system(
     constraints: Sequence[LinearConstraint],
     extra_symbols: Iterable[Symbol] = (),
@@ -374,14 +420,57 @@ def canonical_system(
     system — so memoizing on the canonical form cannot change any result,
     it only lets systems differing in fresh-symbol indices share entries.
     """
-    symbols = sorted(
-        {s for c in constraints for s in c.symbols} | set(extra_symbols), key=str
-    )
-    forward = {s: Symbol(f"_cv{i:05d}") for i, s in enumerate(symbols)}
+    extra_symbols = tuple(extra_symbols)
+    symbols, index, ties = _ordered_symbols(constraints, extra_symbols)
+    forward = {s: _placeholder(i) for i, s in enumerate(symbols)}
     inverse = {v: k for k, v in forward.items()}
-    canonical = tuple(c.rename(forward) for c in constraints)
+    canonical = tuple(_rename_to_placeholders(c, index, ties) for c in constraints)
     extras = tuple(forward[s] for s in dict.fromkeys(extra_symbols))
     return canonical, extras, forward, inverse
+
+
+def _rename_to_placeholders(
+    constraint: LinearConstraint, index: dict[Symbol, int], ties: bool
+) -> LinearConstraint:
+    positions, row = _positions(constraint, index, ties)
+    return LinearConstraint.from_row(
+        tuple(map(_placeholder, positions)), row, constraint.const, constraint.den,
+        constraint.kind,
+    )
+
+
+def memoized_system(
+    table: MemoCache,
+    constraints: Sequence[LinearConstraint],
+    extra_symbols: Iterable[Symbol],
+    compute: Callable[[list[LinearConstraint], list[Symbol]], Iterable[LinearConstraint]],
+    *parameters: Hashable,
+) -> list[LinearConstraint]:
+    """``compute`` on the canonical system, memoized in ``table``.
+
+    The key is all-integer and is equal exactly when :func:`canonical_system`
+    gives equal canonical constraints and extras (in order), so the
+    canonical constraints are only built on a miss.  The result is renamed
+    back to the caller's symbols.  ``parameters`` join the key.
+    """
+    extra_symbols = tuple(extra_symbols)
+    symbols, index, ties = _ordered_symbols(constraints, extra_symbols)
+    extras = tuple(index[s] for s in dict.fromkeys(extra_symbols))
+    key = (tuple(_content(c, index, ties) for c in constraints), extras, *parameters)
+
+    def run() -> tuple[LinearConstraint, ...]:
+        canonical = [_rename_to_placeholders(c, index, ties) for c in constraints]
+        return tuple(compute(canonical, [_placeholder(i) for i in extras]))
+
+    result = table.lookup(key, run)
+    # Placeholders in position order map to symbols in string order (ties
+    # in position order): exactly the order ``rename`` would sort them
+    # into, so each row is kept as it is.
+    lookup = {_placeholder(i): s for i, s in enumerate(symbols)}.__getitem__
+    return [
+        LinearConstraint.from_row(tuple(map(lookup, c.syms)), c.row, c.const, c.den, c.kind)
+        for c in result
+    ]
 
 
 def canonical_key(
@@ -395,10 +484,11 @@ def canonical_key(
     solution set (satisfiability, entailment) — not for computations whose
     syntactic output depends on constraint order.
     """
-    canonical, extras, _, _ = canonical_system(constraints, extra_symbols)
+    extra_symbols = tuple(extra_symbols)
+    _, index, ties = _ordered_symbols(constraints, extra_symbols)
     return (
-        tuple(sorted(canonical, key=lambda c: (c.coeffs, c.constant, c.kind.value))),
-        tuple(sorted(extras, key=str)),
+        tuple(sorted(_content(c, index, ties) for c in constraints)),
+        tuple(sorted(index[s] for s in dict.fromkeys(extra_symbols))),
     )
 
 
@@ -410,10 +500,8 @@ def entailment_key(
     The candidate is renamed with the same symbol map as the system but kept
     separate in the key (it is the query, not part of the system).
     """
-    canonical, _, forward, _ = canonical_system(
-        constraints, candidate.symbols
+    _, index, ties = _ordered_symbols(constraints, candidate.symbols)
+    return (
+        tuple(sorted(_content(c, index, ties) for c in constraints)),
+        _content(candidate, index, ties),
     )
-    ordered = tuple(
-        sorted(canonical, key=lambda c: (c.coeffs, c.constant, c.kind.value))
-    )
-    return (ordered, candidate.rename(forward))

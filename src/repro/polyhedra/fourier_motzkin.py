@@ -29,12 +29,16 @@ blow-up bounded.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ..formulas.symbols import Symbol
 from . import cache as memo
-from .constraint import ConstraintKind, LinearConstraint
+from .constraint import (
+    ConstraintKind,
+    LinearConstraint,
+    fourier_combination,
+    substitute,
+)
 from . import lp
 
 __all__ = ["eliminate", "minimize_constraints", "MINIMIZE_THRESHOLD"]
@@ -100,22 +104,17 @@ def eliminate(
     current = _clean([c for c in constraints])
     if current is None:
         return [_contradiction()]
-    targets = [
-        s
-        for s in dict.fromkeys(symbols)
-        if any(c.coefficient(s) != 0 for c in current)
-    ]
+    present = {s for c in current for s in c.syms}
+    targets = [s for s in dict.fromkeys(symbols) if s in present]
     if not targets:
         return current
-    canonical, extras, _, inverse = memo.canonical_system(current, targets)
-    key = (canonical, extras, minimize_threshold)
-    projected = _PROJECTION_CACHE.lookup(
-        key,
-        lambda: tuple(
-            _eliminate_core(list(canonical), list(extras), minimize_threshold)
-        ),
+    return memo.memoized_system(
+        _PROJECTION_CACHE,
+        current,
+        targets,
+        lambda canonical, extras: _eliminate_core(canonical, extras, minimize_threshold),
+        minimize_threshold,
     )
-    return [c.rename(inverse) for c in projected]
 
 
 def _eliminate_core(
@@ -128,7 +127,7 @@ def _eliminate_core(
     while remaining:
         symbol = _pick_symbol([t.constraint for t in tracked], remaining)
         remaining.remove(symbol)
-        if not any(t.constraint.coefficient(symbol) != 0 for t in tracked):
+        if not any(symbol in t.constraint.syms for t in tracked):
             continue
         tracked = _eliminate_one(tracked, symbol, symbol_bits[symbol])
         tracked = _clean_tracked(tracked)
@@ -140,7 +139,7 @@ def _eliminate_core(
 
 
 def _contradiction() -> LinearConstraint:
-    return LinearConstraint.make({}, Fraction(1), ConstraintKind.LE)
+    return LinearConstraint.make({}, 1, ConstraintKind.LE)
 
 
 def _pick_symbol(
@@ -151,22 +150,27 @@ def _pick_symbol(
     Symbols defined by an equality are preferred (cost 0); otherwise the
     symbol minimizing ``#positive * #negative`` inequality occurrences.
     """
+    if len(candidates) == 1:
+        return candidates[0]
+    # One pass over the rows counts each candidate's positive and negative
+    # inequality occurrences and notes whether an equality mentions it.
+    counts = {symbol: [0, 0, False] for symbol in candidates}
+    for constraint in constraints:
+        is_eq = constraint.kind is ConstraintKind.EQ
+        for symbol, value in zip(constraint.syms, constraint.row):
+            count = counts.get(symbol)
+            if count is None:
+                continue
+            if is_eq:
+                count[2] = True
+            elif value > 0:
+                count[0] += 1
+            else:
+                count[1] += 1
     best = None
     best_cost = None
     for symbol in candidates:
-        pos = neg = 0
-        has_eq = False
-        for constraint in constraints:
-            coeff = constraint.coefficient(symbol)
-            if coeff == 0:
-                continue
-            if constraint.kind is ConstraintKind.EQ:
-                has_eq = True
-                break
-            if coeff > 0:
-                pos += 1
-            else:
-                neg += 1
+        pos, neg, has_eq = counts[symbol]
         cost = -1 if has_eq else pos * neg
         if best_cost is None or cost < best_cost:
             best, best_cost = symbol, cost
@@ -184,7 +188,7 @@ def _eliminate_one(
             t
             for t in tracked
             if t.constraint.kind is ConstraintKind.EQ
-            and t.constraint.coefficient(symbol) != 0
+            and t.constraint.numerator(symbol)
         ),
         None,
     )
@@ -207,14 +211,14 @@ def _substitute_equality(
     Imbert's bound are redundant and dropped.
     """
     eq_constraint = equality.constraint
-    coeff = eq_constraint.coefficient(symbol)
+    e_k = eq_constraint.numerator(symbol)
     result: list[_Tracked] = []
     for t in tracked:
         if t is equality:
             continue
         constraint = t.constraint
-        c = constraint.coefficient(symbol)
-        if c == 0:
+        t_k = constraint.numerator(symbol)
+        if t_k == 0:
             result.append(t)
             continue
         history = t.history | equality.history
@@ -223,18 +227,8 @@ def _substitute_equality(
             history, eliminated
         ):
             continue
-        # constraint - (c / coeff) * equality removes the symbol.
-        factor = c / coeff
-        coeffs = constraint.coeff_map
-        for s, e in eq_constraint.coeffs:
-            coeffs[s] = coeffs.get(s, Fraction(0)) - factor * e
-        constant = constraint.constant - factor * eq_constraint.constant
         result.append(
-            _Tracked(
-                LinearConstraint.make(coeffs, constant, constraint.kind),
-                history,
-                eliminated,
-            )
+            _Tracked(substitute(constraint, eq_constraint, t_k, e_k), history, eliminated)
         )
     return result
 
@@ -247,7 +241,7 @@ def _fourier_motzkin_step(
     negatives: list[_Tracked] = []
     untouched: list[_Tracked] = []
     for t in tracked:
-        coeff = t.constraint.coefficient(symbol)
+        coeff = t.constraint.numerator(symbol)
         if coeff == 0:
             untouched.append(t)
         elif coeff > 0:
@@ -259,7 +253,8 @@ def _fourier_motzkin_step(
         return untouched
     result = untouched
     for pos in positives:
-        cp = pos.constraint.coefficient(symbol)
+        p = pos.constraint
+        cp = p.numerator(symbol)
         for neg in negatives:
             history = pos.history | neg.history
             eliminated = pos.eliminated | neg.eliminated | symbol_bit
@@ -267,19 +262,9 @@ def _fourier_motzkin_step(
                 # Imbert's acceleration theorem: this combination is implied
                 # by the surviving rows — skip it before it is even built.
                 continue
-            cn = neg.constraint.coefficient(symbol)
-            combined = pos.constraint.scale(-cn).add(neg.constraint.scale(cp))
-            # The symbol cancels by construction; guard against Fraction noise.
-            coeffs = {s: c for s, c in combined.coeffs if s != symbol}
-            result.append(
-                _Tracked(
-                    LinearConstraint.make(
-                        coeffs, combined.constant, ConstraintKind.LE
-                    ),
-                    history,
-                    eliminated,
-                )
-            )
+            n = neg.constraint
+            combined = fourier_combination(p, cp, n, n.numerator(symbol))
+            result.append(_Tracked(combined, history, eliminated))
     return result
 
 
@@ -295,26 +280,32 @@ def _clean(
     """
     seen: dict[tuple, LinearConstraint] = {}
     for constraint in constraints:
-        if constraint.is_contradiction:
-            return None
-        if constraint.is_trivial:
+        if not constraint.syms:
+            if constraint.is_contradiction:
+                return None
             continue
         normalized = constraint.normalize()
-        key = (normalized.coeffs, normalized.kind)
+        key = normalized.direction()
         existing = seen.get(key)
         if existing is None:
             seen[key] = normalized
         elif normalized.kind is ConstraintKind.LE:
             # Same left-hand side: keep the tighter constant.
-            if normalized.constant > existing.constant:
+            if _compare_constants(normalized, existing) > 0:
                 seen[key] = normalized
         else:
-            if normalized.constant != existing.constant:
+            if _compare_constants(normalized, existing):
                 return None
     result = list(seen.values())
     if lp.interval_contradiction(result):
         return None
     return result
+
+
+def _compare_constants(first: LinearConstraint, second: LinearConstraint) -> int:
+    """Sign of ``first.constant - second.constant``, in integers."""
+    difference = first.const * second.den - second.const * first.den
+    return (difference > 0) - (difference < 0)
 
 
 def _clean_tracked(tracked: Sequence[_Tracked]) -> list[_Tracked] | None:
@@ -327,28 +318,28 @@ def _clean_tracked(tracked: Sequence[_Tracked]) -> list[_Tracked] | None:
     seen: dict[tuple, _Tracked] = {}
     for t in tracked:
         constraint = t.constraint
-        if constraint.is_contradiction:
-            return None
-        if constraint.is_trivial:
+        if not constraint.syms:
+            if constraint.is_contradiction:
+                return None
             continue
         normalized = constraint.normalize()
-        key = (normalized.coeffs, normalized.kind)
+        if normalized is not constraint:
+            t = t.replaced(normalized)
+        key = normalized.direction()
         existing = seen.get(key)
         if existing is None:
-            seen[key] = t.replaced(normalized)
+            seen[key] = t
         elif normalized.kind is ConstraintKind.LE:
-            if normalized.constant > existing.constraint.constant:
-                seen[key] = t.replaced(normalized)
-            elif (
-                normalized.constant == existing.constraint.constant
-                and t.history.bit_count() < existing.history.bit_count()
+            order = _compare_constants(normalized, existing.constraint)
+            if order > 0 or (
+                order == 0 and t.history.bit_count() < existing.history.bit_count()
             ):
-                seen[key] = t.replaced(normalized)
+                seen[key] = t
         else:
-            if normalized.constant != existing.constraint.constant:
+            if _compare_constants(normalized, existing.constraint):
                 return None
             if t.history.bit_count() < existing.history.bit_count():
-                seen[key] = t.replaced(normalized)
+                seen[key] = t
     result = list(seen.values())
     if lp.interval_contradiction([t.constraint for t in result]):
         return None
@@ -386,11 +377,9 @@ def minimize_constraints(
         return [_contradiction()]
     if len(cleaned) <= 1:
         return cleaned
-    canonical, _, _, inverse = memo.canonical_system(cleaned)
-    minimized = _MINIMIZE_CACHE.lookup(
-        canonical, lambda: tuple(_minimize_core(list(canonical)))
+    return memo.memoized_system(
+        _MINIMIZE_CACHE, cleaned, (), lambda canonical, _: _minimize_core(canonical)
     )
-    return [c.rename(inverse) for c in minimized]
 
 
 def _minimize_core(

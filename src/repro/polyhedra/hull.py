@@ -18,10 +18,9 @@ implementations of the join are provided:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
-from ..formulas.symbols import Symbol, fresh
+from ..formulas.symbols import by_name, fresh
 from .constraint import ConstraintKind, LinearConstraint
 from . import fourier_motzkin
 from .polyhedron import Polyhedron
@@ -49,19 +48,14 @@ def weak_join(first: Polyhedron, second: Polyhedron) -> Polyhedron:
         def check(constraint: LinearConstraint) -> bool:
             # Syntactic subsumption first: a constraint the other argument
             # states verbatim (up to normalization) needs no LP call.
-            normalized = constraint.normalize()
-            if (normalized.coeffs, normalized.constant, normalized.kind) in syntactic:
+            if constraint.normalize() in syntactic:
                 return True
             return polyhedron.entails(constraint)
 
         return check
 
     def syntactic_forms(polyhedron: Polyhedron) -> frozenset:
-        forms = set()
-        for constraint in polyhedron.constraints:
-            normalized = constraint.normalize()
-            forms.add((normalized.coeffs, normalized.constant, normalized.kind))
-        return frozenset(forms)
+        return frozenset(c.normalize() for c in polyhedron.constraints)
 
     in_second = entailed_by(second, syntactic_forms(second))
     in_first = entailed_by(first, syntactic_forms(first))
@@ -69,22 +63,14 @@ def weak_join(first: Polyhedron, second: Polyhedron) -> Polyhedron:
     for constraint in first.constraints:
         if constraint.kind is ConstraintKind.EQ:
             # Split equalities so that one-sided halves can survive the join.
-            le = LinearConstraint.make(constraint.coeff_map, constraint.constant)
-            ge = LinearConstraint.make(
-                {s: -c for s, c in constraint.coeffs}, -constraint.constant
-            )
-            for half in (le, ge):
+            for half in constraint.inequalities():
                 if in_second(half):
                     kept.append(half)
         elif in_second(constraint):
             kept.append(constraint)
     for constraint in second.constraints:
         if constraint.kind is ConstraintKind.EQ:
-            le = LinearConstraint.make(constraint.coeff_map, constraint.constant)
-            ge = LinearConstraint.make(
-                {s: -c for s, c in constraint.coeffs}, -constraint.constant
-            )
-            for half in (le, ge):
+            for half in constraint.inequalities():
                 if in_first(half):
                     kept.append(half)
         elif in_first(constraint):
@@ -104,7 +90,7 @@ def convex_hull_pair(first: Polyhedron, second: Polyhedron) -> Polyhedron:
         return first
     if first.is_universe or second.is_universe:
         return Polyhedron.universe()
-    symbols = sorted(first.symbols | second.symbols, key=str)
+    symbols = sorted(first.symbols | second.symbols, key=by_name)
     if (
         len(symbols) > EXACT_HULL_MAX_DIMENSION
         or len(first.constraints) > EXACT_HULL_MAX_CONSTRAINTS
@@ -118,25 +104,27 @@ def convex_hull_pair(first: Polyhedron, second: Polyhedron) -> Polyhedron:
     lifted: list[LinearConstraint] = []
     # Homogenized copy of `first` over (shadow, sigma):  A*y + b*sigma <= 0.
     for constraint in first.constraints:
-        coeffs: dict[Symbol, Fraction] = {}
-        for s, c in constraint.coeffs:
-            coeffs[shadow[s]] = coeffs.get(shadow[s], Fraction(0)) + c
-        coeffs[sigma] = coeffs.get(sigma, Fraction(0)) + constraint.constant
-        lifted.append(LinearConstraint.make(coeffs, Fraction(0), constraint.kind))
+        pairs = [(shadow[s], v) for s, v in zip(constraint.syms, constraint.row)]
+        pairs.append((sigma, constraint.const))
+        lifted.append(
+            LinearConstraint.from_numerators(pairs, 0, constraint.den, constraint.kind)
+        )
     # Homogenized copy of `second` over (x - y, 1 - sigma):
     #   A*(x - y) + b*(1 - sigma) <= 0.
     for constraint in second.constraints:
-        coeffs = {}
-        for s, c in constraint.coeffs:
-            coeffs[s] = coeffs.get(s, Fraction(0)) + c
-            coeffs[shadow[s]] = coeffs.get(shadow[s], Fraction(0)) - c
-        coeffs[sigma] = coeffs.get(sigma, Fraction(0)) - constraint.constant
+        pairs = []
+        for s, v in zip(constraint.syms, constraint.row):
+            pairs.append((s, v))
+            pairs.append((shadow[s], -v))
+        pairs.append((sigma, -constraint.const))
         lifted.append(
-            LinearConstraint.make(coeffs, constraint.constant, constraint.kind)
+            LinearConstraint.from_numerators(
+                pairs, constraint.const, constraint.den, constraint.kind
+            )
         )
     # 0 <= sigma <= 1.
-    lifted.append(LinearConstraint.make({sigma: Fraction(-1)}, Fraction(0)))
-    lifted.append(LinearConstraint.make({sigma: Fraction(1)}, Fraction(-1)))
+    lifted.append(LinearConstraint.make({sigma: -1}))
+    lifted.append(LinearConstraint.make({sigma: 1}, -1))
 
     eliminated = fourier_motzkin.eliminate(
         lifted, [sigma, *shadow.values()]

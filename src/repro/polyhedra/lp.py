@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from ..formulas.symbols import Symbol
+from ..formulas.symbols import Symbol, by_name
 from . import cache
 from .constraint import ConstraintKind, LinearConstraint
 
@@ -89,12 +89,12 @@ def _build_matrices(
     b_eq: list[float] = []
     for constraint in constraints:
         row = [0.0] * len(symbols)
-        scale = max(
-            (abs(c) for _, c in constraint.coeffs), default=Fraction(1)
-        ) or Fraction(1)
-        for s, c in constraint.coeffs:
-            row[index[s]] = float(c / scale)
-        rhs = float(-constraint.constant / scale)
+        # Dividing by the largest coefficient cancels the denominator: the
+        # float entries are the integer row over its largest magnitude.
+        scale = max(map(abs, constraint.row), default=constraint.den)
+        for s, v in zip(constraint.syms, constraint.row):
+            row[index[s]] = v / scale
+        rhs = -constraint.const / scale
         if constraint.kind is ConstraintKind.LE:
             a_ub.append(row)
             b_ub.append(rhs)
@@ -110,8 +110,7 @@ def maximize(
 ) -> LpResult:
     """Maximize ``sum objective[s]*s`` subject to ``constraints``."""
     symbols = sorted(
-        {s for c in constraints for s in c.symbols} | set(objective.keys()),
-        key=str,
+        {s for c in constraints for s in c.syms} | set(objective), key=by_name
     )
     if not symbols:
         # No variables at all: the objective is identically zero.
@@ -157,7 +156,7 @@ def is_satisfiable(constraints: Sequence[LinearConstraint]) -> bool:
     for constraint in constraints:
         if constraint.is_contradiction:
             return False
-    nontrivial = [c for c in constraints if c.coeffs]
+    nontrivial = [c for c in constraints if c.syms]
     if not nontrivial:
         return True
     if interval_contradiction(nontrivial):
@@ -185,25 +184,32 @@ def interval_contradiction(constraints: Sequence[LinearConstraint]) -> bool:
     bounds proves the system empty with no LP call.  ``False`` means
     "unknown", never "non-empty".
     """
-    lower: dict[Symbol, Fraction] = {}
-    upper: dict[Symbol, Fraction] = {}
+    # A bound -const/coeff is kept as (numerator, positive denominator) and
+    # compared by cross-multiplication; the common denominator cancels.
+    lower: dict[Symbol, tuple[int, int]] = {}
+    upper: dict[Symbol, tuple[int, int]] = {}
     for constraint in constraints:
-        if len(constraint.coeffs) != 1:
+        if len(constraint.syms) != 1:
             continue
-        symbol, coeff = constraint.coeffs[0]
-        bound = -constraint.constant / coeff
+        symbol = constraint.syms[0]
+        coeff = constraint.row[0]
+        bound = (-constraint.const, coeff) if coeff > 0 else (constraint.const, -coeff)
         if constraint.kind is ConstraintKind.EQ:
             is_upper = is_lower = True
         else:
             is_upper = coeff > 0
             is_lower = not is_upper
-        if is_upper and (symbol not in upper or bound < upper[symbol]):
-            upper[symbol] = bound
-        if is_lower and (symbol not in lower or bound > lower[symbol]):
-            lower[symbol] = bound
+        if is_upper:
+            high = upper.get(symbol)
+            if high is None or bound[0] * high[1] < high[0] * bound[1]:
+                upper[symbol] = bound
+        if is_lower:
+            low = lower.get(symbol)
+            if low is None or bound[0] * low[1] > low[0] * bound[1]:
+                lower[symbol] = bound
     for symbol, low in lower.items():
         high = upper.get(symbol)
-        if high is not None and low > high:
+        if high is not None and low[0] * high[1] > high[0] * low[1]:
             return True
     return False
 
@@ -231,19 +237,16 @@ def _entails_uncached(
     if not is_satisfiable(list(constraints)):
         return True
     if candidate.kind is ConstraintKind.EQ:
-        le = LinearConstraint.make(candidate.coeff_map, candidate.constant)
-        ge = LinearConstraint.make(
-            {s: -c for s, c in candidate.coeffs}, -candidate.constant
-        )
+        le, ge = candidate.inequalities()
         return entails(constraints, le) and entails(constraints, ge)
     from .simplex import exact_entails  # local import avoids a cycle
 
     if len(constraints) <= EXACT_FIRST_LIMIT:
         return exact_entails(list(constraints), candidate)
-    objective = candidate.coeff_map
-    scale = max((abs(c) for c in objective.values()), default=Fraction(1)) or Fraction(1)
-    scaled_objective = {s: c / scale for s, c in objective.items()}
-    bound = float(-candidate.constant / scale)
+    # Scaled so the largest coefficient is 1 (the denominator cancels).
+    scale = max(map(abs, candidate.row), default=candidate.den)
+    scaled_objective = {s: v / scale for s, v in zip(candidate.syms, candidate.row)}
+    bound = -candidate.const / scale
     result = maximize(scaled_objective, constraints)
     if result.is_optimal and result.value is not None:
         tolerance = TOLERANCE * max(1.0, abs(bound))

@@ -13,8 +13,10 @@ into differences of non-negative variables, inequalities receive slack
 variables, and a standard two-phase simplex with Bland's anti-cycling rule is
 run on the resulting standard-form problem.
 
-Arithmetic is **fraction-free**: every constraint is scaled to integers by
-the common denominator on entry, and the tableau stores one integer row plus
+Arithmetic is **fraction-free**: a constraint's integer row (its
+coefficients over their common denominator, as
+:class:`~repro.polyhedra.constraint.LinearConstraint` stores them) enters the
+tableau as it is, and the tableau stores one integer row plus
 a single positive integer denominator per row (the rational entry is
 ``rows[i][j] / den[i]``).  A pivot is then pure integer multiply-and-subtract
 in the style of Bareiss — the systematic factor is divided out once per row
@@ -34,94 +36,31 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from ..formulas.symbols import Symbol
-from .constraint import ConstraintKind, LinearConstraint
-
-try:  # numpy backs the fixed-width kernel; without it every LP runs bignum.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the test image ships numpy
-    _np = None
+from ..formulas.symbols import Symbol, by_name
+from .constraint import ConstraintKind, LinearConstraint, substitute
 
 __all__ = [
     "ExactLpResult",
     "exact_maximize",
     "exact_is_satisfiable",
     "exact_entails",
-    "set_simplex_kernel",
-    "simplex_kernel",
-    "int64_available",
     "kernel_stats",
     "reset_kernel_stats",
 ]
 
-# ---------------------------------------------------------------------------
-# Kernel selection.
-#
-# Two pivot kernels implement the same fraction-free Bareiss tableau: the
-# original per-row Python bignum lists (`_Tableau`) and a vectorised numpy
-# int64 matrix (`_Int64Tableau`).  Both perform *identical* integer
-# arithmetic — same pivots, same gcd reductions, same Bland/ratio decisions
-# made on exact Python integers — so every result is bit-identical; the
-# int64 kernel merely refuses (via `_Int64Overflow`) any pivot whose
-# intermediates could exceed the fixed width, at which point the whole LP is
-# re-run on the bignum tableau.  The kernel choice is therefore invisible to
-# callers: memo keys, verdicts and optimal values never depend on it.
-# ---------------------------------------------------------------------------
-
-_KERNEL_MODES = ("auto", "int64", "bignum")
-_kernel_mode = "auto"
-# Any tableau entry, denominator or pivot intermediate must stay strictly
-# below this bound.  2^62 leaves headroom so that the multiply-subtract
-# `a*p - f*b` (bounded by rows_max*p + f_max*prow_max, checked before the
-# pivot) can never reach 2^63 even transiently.  Tests shrink it to force
-# the overflow detector to fire on small inputs.
-_INT64_SAFE = 1 << 62
-# In "auto" mode only tableaus with at least this many cells take the numpy
-# path: below it the per-pivot numpy dispatch overhead exceeds the bignum
-# loop it replaces.  "int64" mode ignores the floor (used by benchmarks and
-# the differential tests to exercise the kernel on any size).
-_INT64_MIN_CELLS = 256
-
+#: LPs solved, under the keys the per-layer trace reports.  Every LP runs on
+#: the one integer tableau below, so ``int64`` and ``fallbacks`` stay 0.
 _KERNEL_STATS = {"int64": 0, "bignum": 0, "fallbacks": 0}
 
 
-def set_simplex_kernel(mode: str) -> str:
-    """Select the pivot kernel; returns the previous mode.
-
-    ``auto`` (default) routes large integral tableaus to the int64 kernel,
-    ``int64`` prefers it regardless of size, ``bignum`` disables it.  All
-    modes produce bit-identical results.
-    """
-    global _kernel_mode
-    if mode not in _KERNEL_MODES:
-        raise ValueError(f"unknown simplex kernel {mode!r}; expected one of {_KERNEL_MODES}")
-    previous = _kernel_mode
-    _kernel_mode = mode
-    return previous
-
-
-def simplex_kernel() -> str:
-    """Return the current kernel mode ('auto', 'int64' or 'bignum')."""
-    return _kernel_mode
-
-
-def int64_available() -> bool:
-    """True when numpy is importable, i.e. the int64 kernel can run."""
-    return _np is not None
-
-
 def kernel_stats() -> dict[str, int]:
-    """Counters: LPs solved per kernel plus int64→bignum overflow fallbacks."""
+    """Counters: LPs solved (``bignum``); ``int64``/``fallbacks`` are always 0."""
     return dict(_KERNEL_STATS)
 
 
 def reset_kernel_stats() -> None:
     for key in _KERNEL_STATS:
         _KERNEL_STATS[key] = 0
-
-
-class _Int64Overflow(Exception):
-    """Raised by the int64 kernel when a pivot could exceed the fixed width."""
 
 
 @dataclass(frozen=True)
@@ -307,172 +246,22 @@ def _reduce_objective(
     return onum, val_num, oden
 
 
-class _Int64Tableau:
-    """Vectorised int64 twin of :class:`_Tableau`.
-
-    The tableau lives in one ``(nrows, ncols + 1)`` int64 matrix whose last
-    column is the right-hand side, plus an int64 denominator vector, so the
-    Bareiss multiply-subtract and the per-row gcd normalisation become whole-
-    matrix numpy expressions.  Everything *decision-shaped* — the priced-out
-    objective row, Bland's entering scan and the cross-multiplied ratio
-    test — stays in exact Python integers (those touch a single row or
-    column per pivot, so they are cheap, and keeping them exact removes any
-    fixed-width concern from the pivot-selection logic).  The pivot sequence
-    is therefore identical to the bignum kernel's, and so is every integer
-    the tableau ever holds.
-
-    Before each pivot a bound on the multiply-subtract intermediates is
-    computed in Python integers; if it could reach ``_INT64_SAFE`` the kernel
-    raises :class:`_Int64Overflow` and the caller restarts the LP on the
-    bignum tableau (tableau-wise fallback — by construction no partially
-    wrapped state can ever be observed).
-    """
-
-    __slots__ = ("m", "den", "basis", "ncols")
-
-    def __init__(self, rows: list[list[int]], rhs: list[int], basis: list[int]):
-        nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-        try:
-            m = _np.empty((nrows, self.ncols + 1), dtype=_np.int64)
-            for i, row in enumerate(rows):
-                m[i, :-1] = row
-                m[i, -1] = rhs[i]
-        except OverflowError as exc:  # an entry does not even fit in int64
-            raise _Int64Overflow from exc
-        # Magnitude check via min/max, not np.abs: abs(-2^63) wraps in int64.
-        if m.size and max(-int(m.min()), int(m.max())) >= _INT64_SAFE:
-            raise _Int64Overflow
-        self.m = m
-        self.den = _np.ones(nrows, dtype=_np.int64)
-        self.basis = basis
-
-    def _reduce_rows(self, mask: "_np.ndarray") -> None:
-        """gcd-normalise every masked row (entries, rhs and denominator)."""
-        rows = self.m[mask]
-        g = _np.gcd.reduce(_np.abs(rows), axis=1)
-        g = _np.gcd(g, self.den[mask])
-        if bool((g > 1).any()):
-            # Exact: g divides every entry, so floor division is exact
-            # division even for negative entries.
-            self.m[mask] = rows // g[:, None]
-            self.den[mask] = self.den[mask] // g
-
-    def _reduce_row(self, r: int) -> None:
-        row = self.m[r]
-        g = math.gcd(int(_np.gcd.reduce(_np.abs(row))), int(self.den[r]))
-        if g > 1:
-            row //= g
-            self.den[r] //= g
-
-    def pivot(self, row: int, col: int) -> None:
-        """Make ``col`` basic in ``row`` — same arithmetic as `_Tableau.pivot`."""
-        m = self.m
-        p = int(m[row, col])
-        if p < 0:
-            # Same drive-artificials-out corner as the bignum kernel; the
-            # negation cannot overflow because entries stay < _INT64_SAFE.
-            _np.negative(m[row], out=m[row])
-            p = -p
-        pivot_row = m[row]
-        factors = m[:, col].copy()
-        factors[row] = 0
-        mask = factors != 0
-        if bool(mask.any()):
-            touched = m[mask]
-            rows_max = int(_np.abs(touched).max())
-            factor_max = int(_np.abs(factors[mask]).max())
-            prow_max = int(_np.abs(pivot_row).max())
-            den_max = int(self.den[mask].max())
-            # Python-int bound check: |a*p - f*b| <= rows_max*p +
-            # factor_max*prow_max, and each intermediate product is bounded
-            # by one of the two addends, so passing here guarantees no
-            # transient wraps either.
-            if rows_max * p + factor_max * prow_max >= _INT64_SAFE or den_max * p >= _INT64_SAFE:
-                raise _Int64Overflow
-            m[mask] = touched * p - factors[mask, None] * pivot_row
-            self.den[mask] = self.den[mask] * p
-            self._reduce_rows(mask)
-        self.den[row] = p
-        self._reduce_row(row)
-        self.basis[row] = col
-
-    def first_nonzero(self, row: int, limit: int) -> int | None:
-        nz = _np.nonzero(self.m[row, :limit])[0]
-        return int(nz[0]) if nz.size else None
-
-    def optimize(
-        self, obj_num: list[int], obj_den: int, allowed_cols: Sequence[int]
-    ) -> tuple[str, Fraction]:
-        """Maximize ``obj_num / obj_den`` — decision logic mirrors `_Tableau`."""
-        onum = list(obj_num)
-        oden = obj_den
-        val_num = 0
-        for i, basic_col in enumerate(self.basis):
-            coeff = onum[basic_col]
-            if coeff == 0:
-                continue
-            d = int(self.den[i])
-            row = self.m[i].tolist()
-            row_rhs = row.pop()
-            onum = [a * d - coeff * b if b else a * d for a, b in zip(onum, row)]
-            val_num = val_num * d - coeff * row_rhs
-            oden *= d
-            onum, val_num, oden = _reduce_objective(onum, val_num, oden)
-        nrows = len(self.basis)
-        while True:
-            entering = None
-            for col in allowed_cols:
-                if onum[col] > 0:
-                    entering = col
-                    break
-            if entering is None:
-                return "optimal", Fraction(-val_num, oden)
-            column = self.m[:, entering].tolist()
-            rhs = self.m[:, -1].tolist()
-            leaving = None
-            best_num = best_den = 0
-            for r in range(nrows):
-                a = column[r]
-                if a > 0:
-                    num = rhs[r]
-                    cross = num * best_den - best_num * a
-                    if (
-                        leaving is None
-                        or cross < 0
-                        or (cross == 0 and self.basis[r] < self.basis[leaving])
-                    ):
-                        best_num, best_den = num, a
-                        leaving = r
-            if leaving is None:
-                return "unbounded", Fraction(0)
-            coeff = onum[entering]
-            self.pivot(leaving, entering)
-            d = int(self.den[leaving])
-            lrow = self.m[leaving].tolist()
-            lrhs = lrow.pop()
-            onum = [a * d - coeff * b if b else a * d for a, b in zip(onum, lrow)]
-            val_num = val_num * d - coeff * lrhs
-            oden *= d
-            onum, val_num, oden = _reduce_objective(onum, val_num, oden)
-
-
 def _standard_form(
-    objective: Mapping[Symbol, Fraction],
+    obj_num: Mapping[Symbol, int],
+    obj_den: int,
     constraints: Sequence[LinearConstraint],
-) -> tuple[list[list[int]], list[int], list[int], int, int]:
+) -> tuple[list[list[int]], list[int], list[int], int]:
     """Convert to integer standard form ``A x = b, x >= 0`` with split free vars.
 
-    Every constraint is scaled by the least common multiple of its
-    coefficients' denominators (a positive factor, so the feasible set is
-    unchanged), which makes the whole tableau integral on entry.  The
-    objective is scaled the same way by its own common denominator.
+    A constraint's integer row is its coefficients scaled by its common
+    denominator (a positive factor, so the feasible set is unchanged), so
+    the tableau is integral on entry; the objective arrives the same way,
+    as numerators over ``obj_den``.
 
-    Returns (rows, rhs, objective_numerators, objective_denominator,
-    n_structural_columns).
+    Returns (rows, rhs, objective_numerators, n_structural_columns).
     """
     symbols = sorted(
-        {s for c in constraints for s in c.symbols} | set(objective.keys()), key=str
+        {s for c in constraints for s in c.syms} | set(obj_num), key=by_name
     )
     index = {s: i for i, s in enumerate(symbols)}
     n_free = len(symbols)
@@ -482,13 +271,8 @@ def _standard_form(
     rhs: list[int] = []
     slack_cursor = 0
     for constraint in constraints:
-        scale = math.lcm(
-            constraint.constant.denominator,
-            *(c.denominator for _, c in constraint.coeffs),
-        )
         row = [0] * ncols
-        for s, c in constraint.coeffs:
-            v = int(c * scale)
+        for s, v in zip(constraint.syms, constraint.row):
             j = index[s]
             row[2 * j] = v
             row[2 * j + 1] = -v
@@ -496,21 +280,20 @@ def _standard_form(
             row[2 * n_free + slack_cursor] = 1
             slack_cursor += 1
         rows.append(row)
-        rhs.append(int(-constraint.constant * scale))
-    obj_scale = math.lcm(1, *(c.denominator for c in objective.values()))
+        rhs.append(-constraint.const)
     obj = [0] * ncols
-    for s, c in objective.items():
-        v = int(c * obj_scale)
+    for s, v in obj_num.items():
         j = index[s]
         obj[2 * j] = v
         obj[2 * j + 1] = -v
-    return rows, rhs, obj, obj_scale, ncols
+    return rows, rhs, obj, ncols
 
 
 def _presolve(
-    objective: Mapping[Symbol, Fraction],
+    obj_num: dict[Symbol, int],
+    obj_den: int,
     constraints: Sequence[LinearConstraint],
-) -> tuple[dict[Symbol, Fraction], list[LinearConstraint], Fraction] | None:
+) -> tuple[dict[Symbol, int], int, list[LinearConstraint], Fraction] | None:
     """Gaussian-substitute every equality before the tableau is built.
 
     An equality ``a*s + e + k == 0`` determines ``s`` exactly, so ``s`` can
@@ -521,54 +304,54 @@ def _presolve(
     shrinks the tableau from dozens of columns to a handful — and simplex
     cost is superlinear in the tableau size.
 
-    Returns ``(objective, inequalities, offset)``, or ``None`` when a
+    The objective is ``obj_num / obj_den`` in lowest terms and stays so.
+    Returns ``(obj_num, obj_den, inequalities, offset)``, or ``None`` when a
     substitution chain exposes a contradiction (the system is infeasible).
     """
-    obj = {s: Fraction(c) for s, c in objective.items() if Fraction(c) != 0}
     offset = Fraction(0)
     pending = list(constraints)
     inequalities: list[LinearConstraint] = []
     while pending:
         constraint = pending.pop()
-        if constraint.is_contradiction:
-            return None
-        if constraint.is_trivial:
+        if not constraint.syms:
+            if constraint.is_contradiction:
+                return None
             continue
         if constraint.kind is not ConstraintKind.EQ:
             inequalities.append(constraint)
             continue
-        symbol, coeff = constraint.coeffs[0]
-        factor_map = {s: c / coeff for s, c in constraint.coeffs}
-        constant = constraint.constant / coeff
+        symbol = constraint.syms[0]
+        e_k = constraint.row[0]
 
-        def substitute(target: LinearConstraint) -> LinearConstraint:
-            c = target.coefficient(symbol)
-            if c == 0:
-                return target
-            coeffs = target.coeff_map
-            for s, e in factor_map.items():
-                coeffs[s] = coeffs.get(s, Fraction(0)) - c * e
-            return LinearConstraint.make(
-                coeffs, target.constant - c * constant, target.kind
-            )
+        def eliminate(target: LinearConstraint) -> LinearConstraint:
+            t_k = target.numerator(symbol)
+            return substitute(target, constraint, t_k, e_k) if t_k else target
 
-        pending = [substitute(c) for c in pending]
-        inequalities = [substitute(c) for c in inequalities]
-        weight = obj.pop(symbol, Fraction(0))
-        if weight != 0:
-            # s = -(rest + constant)/coeff; fold it into the objective.
-            for s, e in factor_map.items():
+        pending = [eliminate(c) for c in pending]
+        inequalities = [eliminate(c) for c in inequalities]
+        weight = obj_num.pop(symbol, 0)
+        if weight:
+            # s = -(rest + constant)/e_k, folded into the objective:
+            # (e_k*obj - weight*rest) over obj_den*e_k, sign kept positive.
+            sign = 1 if e_k > 0 else -1
+            folded = {s: sign * e_k * v for s, v in obj_num.items()}
+            for s, v in zip(constraint.syms, constraint.row):
                 if s is not symbol:
-                    obj[s] = obj.get(s, Fraction(0)) - weight * e
-            offset -= weight * constant
-            obj = {s: c for s, c in obj.items() if c != 0}
+                    folded[s] = folded.get(s, 0) - sign * weight * v
+            offset -= Fraction(weight * constraint.const, obj_den * e_k)
+            obj_den *= sign * e_k
+            obj_num = {s: v for s, v in folded.items() if v}
+            g = math.gcd(obj_den, *obj_num.values())
+            if g != 1:
+                obj_num = {s: v // g for s, v in obj_num.items()}
+                obj_den //= g
     survivors = []
     for constraint in inequalities:
         if constraint.is_contradiction:
             return None
         if not constraint.is_trivial:
             survivors.append(constraint)
-    return obj, survivors, offset
+    return obj_num, obj_den, survivors, offset
 
 
 def exact_maximize(
@@ -576,15 +359,35 @@ def exact_maximize(
     constraints: Sequence[LinearConstraint],
 ) -> ExactLpResult:
     """Exactly maximize ``objective`` subject to ``constraints`` (free vars)."""
-    reduced = _presolve(objective, constraints)
+    values = {
+        s: c if c.__class__ in (int, Fraction) else Fraction(c)
+        for s, c in objective.items()
+        if c
+    }
+    den = math.lcm(1, *(c.denominator for c in values.values()))
+    numerators = {s: c.numerator * (den // c.denominator) for s, c in values.items()}
+    return _maximize(numerators, den, constraints)
+
+
+def _maximize(
+    obj_num: dict[Symbol, int],
+    obj_den: int,
+    constraints: Sequence[LinearConstraint],
+) -> ExactLpResult:
+    """:func:`exact_maximize` of ``obj_num / obj_den`` (non-zero numerators)."""
+    g = math.gcd(obj_den, *obj_num.values())
+    if g != 1:
+        obj_num = {s: v // g for s, v in obj_num.items()}
+        obj_den //= g
+    reduced = _presolve(obj_num, obj_den, constraints)
     if reduced is None:
         return ExactLpResult("infeasible")
-    objective, constraints, offset = reduced
+    obj_num, obj_scale, constraints, offset = reduced
     if not constraints:
-        if not objective:
+        if not obj_num:
             return ExactLpResult("optimal", offset)
         return ExactLpResult("unbounded")
-    rows, rhs, obj, obj_scale, ncols = _standard_form(objective, constraints)
+    rows, rhs, obj, ncols = _standard_form(obj_num, obj_scale, constraints)
     nrows = len(rows)
     # Phase 1: add one artificial variable per row (after flipping rows with
     # negative right-hand sides), minimize their sum.
@@ -602,34 +405,17 @@ def exact_maximize(
         tab_rows.append(row)
         tab_rhs.append(b)
         basis.append(ncols + i)
-    result: ExactLpResult | None = None
-    if _use_int64(nrows, ncols + nrows):
-        try:
-            # The numpy constructor copies tab_rows/tab_rhs, so the bignum
-            # restart below always starts from pristine inputs.
-            tableau = _Int64Tableau(tab_rows, tab_rhs, list(basis))
-            result = _solve_two_phase(tableau, obj, obj_scale, ncols, nrows)
-            _KERNEL_STATS["int64"] += 1
-        except _Int64Overflow:
-            _KERNEL_STATS["fallbacks"] += 1
-    if result is None:
-        _KERNEL_STATS["bignum"] += 1
-        tableau = _Tableau(tab_rows, tab_rhs, basis)
-        result = _solve_two_phase(tableau, obj, obj_scale, ncols, nrows)
+    _KERNEL_STATS["bignum"] += 1
+    tableau = _Tableau(tab_rows, tab_rhs, basis)
+    result = _solve_two_phase(tableau, obj, obj_scale, ncols, nrows)
     if result.status != "optimal":
         return result
     assert result.value is not None
     return ExactLpResult("optimal", result.value + offset)
 
 
-def _use_int64(nrows: int, total_cols: int) -> bool:
-    if _np is None or _kernel_mode == "bignum":
-        return False
-    return _kernel_mode == "int64" or nrows * (total_cols + 1) >= _INT64_MIN_CELLS
-
-
 def _solve_two_phase(
-    tableau: "_Tableau | _Int64Tableau",
+    tableau: _Tableau,
     obj: list[int],
     obj_scale: int,
     ncols: int,
@@ -669,14 +455,11 @@ def exact_entails(
     if candidate.is_contradiction:
         return not exact_is_satisfiable(constraints)
     if candidate.kind is ConstraintKind.EQ:
-        le = LinearConstraint.make(candidate.coeff_map, candidate.constant)
-        ge = LinearConstraint.make(
-            {s: -c for s, c in candidate.coeffs}, -candidate.constant
-        )
+        le, ge = candidate.inequalities()
         return exact_entails(constraints, le) and exact_entails(constraints, ge)
-    result = exact_maximize(candidate.coeff_map, constraints)
+    result = _maximize(dict(zip(candidate.syms, candidate.row)), candidate.den, constraints)
     if result.is_infeasible:
         return True
     if not result.is_optimal or result.value is None:
         return False
-    return result.value <= -candidate.constant
+    return result.value <= Fraction(-candidate.const, candidate.den)

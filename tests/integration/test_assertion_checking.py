@@ -29,7 +29,7 @@ class TestTable2:
     def test_quad_not_claimed_unsoundly(self):
         """quad needs the exact two-sided closed form; this reproduction does
         not prove it (a precision gap vs. the paper, recorded in
-        EXPERIMENTS.md) — but it must never claim it either way unsoundly.
+        docs/deviations.md) — but it must never claim it either way unsoundly.
         The assertion is true, so any "proved" verdict would also be fine."""
         verdict = chora_proves(assertion_benchmark_by_name("quad").source)
         assert verdict in (True, False)

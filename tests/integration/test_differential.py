@@ -28,8 +28,8 @@ from repro.engine import AnalysisTask, execute_task, full_bench_enabled
 UNROLL_DEPTH = {"table2": 3, "fig3": 4}
 
 #: Known gaps of this reproduction versus the paper's Table 2: the paper's
-#: CHORA proves ``quad`` but this reproduction does not (recorded since the
-#: seed), so ``quad`` is exempt from the dominance assertion.
+#: CHORA proves ``quad`` but this reproduction does not (see
+#: docs/deviations.md), so ``quad`` is exempt from the dominance assertion.
 KNOWN_GAPS = {"quad"}
 
 
@@ -77,7 +77,7 @@ def assert_dominance(name: str, chora_proved: bool, baseline_proved: bool):
 
 class TestTable2VersusUnrolling:
     #: This reproduction's reference verdicts (paper's CHORA also proves
-    #: quad; that gap predates this test and is tracked in EXPERIMENTS.md).
+    #: quad; that gap predates this test and is tracked in docs/deviations.md).
     CHORA_VERDICTS = {"quad": False, "pow2_overflow": True, "height": True}
 
     @pytest.mark.parametrize("name", list(row_params("table2")))

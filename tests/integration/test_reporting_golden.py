@@ -1,6 +1,7 @@
 """Golden-output tests for the rendered Table 1 / Table 2 reports.
 
-The rendered tables are user-facing artefacts (CI logs, EXPERIMENTS.md);
+The rendered tables are user-facing artefacts (CI logs; where their verdicts
+differ from the paper is listed in docs/deviations.md);
 formatting drift, precision changes and verdict flips all show up as a diff
 against the checked-in goldens.  The snapshots cover the fast suite rows
 without timing columns, so they are bit-stable across machines.

@@ -19,13 +19,16 @@ SYMBOLS = [sym(name) for name in ("x", "y", "z")]
 
 
 @st.composite
-def polynomials(draw, max_terms=4, max_degree=2):
+def polynomials(draw, max_terms=4, max_degree=2, coefficients=None):
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         powers = {}
         for symbol in draw(st.lists(st.sampled_from(SYMBOLS), max_size=max_degree)):
             powers[symbol] = powers.get(symbol, 0) + 1
-        coeff = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+        if coefficients is None:
+            coeff = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+        else:
+            coeff = Fraction(draw(coefficients))
         mono = Monomial.from_mapping(powers)
         terms[mono] = terms.get(mono, Fraction(0)) + coeff
     return Polynomial(terms)
@@ -46,6 +49,25 @@ class TestPolynomialProperties:
     @settings(max_examples=60, deadline=None)
     def test_multiplication_is_pointwise(self, p, q, env):
         assert (p * q).evaluate(env) == p.evaluate(env) * q.evaluate(env)
+
+    @given(
+        # Coefficients of ±1 make terms that merge under a renaming cancel.
+        polynomials(max_terms=6, max_degree=3, coefficients=st.sampled_from([-1, 1])),
+        st.dictionaries(st.sampled_from(SYMBOLS), st.sampled_from(SYMBOLS), max_size=3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_renaming_matches_product_and_sum(self, p, renaming):
+        """Substituting variables for variables (a renaming, possibly merging
+        symbols) gives the terms, in the order, that substituting term by
+        term with polynomial products and sums gives."""
+        mapping = {s: Polynomial.var(t) for s, t in renaming.items()}
+        expected = Polynomial.zero()
+        for mono, coeff in p.items():
+            term = Polynomial.constant(coeff)
+            for symbol, power in mono.powers:
+                term = term * (mapping.get(symbol, Polynomial.var(symbol)) ** power)
+            expected = expected + term
+        assert list(p.substitute(mapping).items()) == list(expected.items())
 
     @given(polynomials(), assignments())
     @settings(max_examples=60, deadline=None)

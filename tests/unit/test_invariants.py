@@ -55,11 +55,11 @@ class TestKnobIsolation:
         cache = seeded_tree / "engine"
         cache.mkdir()
         (cache / "cache.py").write_text(
-            "from ..polyhedra.simplex import simplex_kernel\n"
+            "from ..polyhedra.simplex import kernel_stats\n"
         )
         problems = checker.check_knob_isolation(seeded_tree)
         assert len(problems) == 1
-        assert "simplex_kernel" in problems[0]
+        assert "kernel_stats" in problems[0]
 
     def test_options_dataclass_with_knob_field_is_flagged(self, checker, seeded_tree):
         (seeded_tree / "opts.py").write_text(

@@ -8,6 +8,7 @@ driven through a stub client, and the BENCH_service.json entry shape.
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -207,6 +208,32 @@ class TestRunLoadtest:
         # stub call is instant: the generator paces, it does not burst.
         report, _ = self._run([200])
         assert report["elapsed_seconds"] >= 0.15
+
+    def test_latency_counts_from_the_due_instant(self):
+        """One connection whose first call stalls: the requests due during
+        the stall wait for it, and their latencies must include that wait."""
+        stall = 0.3
+        calls = []
+
+        class Stalling(_StubClient):
+            def analyze(self, document, deadline_ms=None):
+                if not calls:
+                    time.sleep(stall)
+                return super().analyze(document, deadline_ms)
+
+        report = run_loadtest(
+            "http://stub:1",
+            rps=50,
+            duration=0.2,
+            concurrency=1,
+            client_factory=lambda url, timeout=None: Stalling([200], calls),
+        )
+        assert report["served_2xx"] == 10
+        # Request i is due at i/50 s but is sent after the stall, so each
+        # queued request waited about stall - i/50 s before it was sent.
+        assert report["latency"]["p50_ms"] >= (stall - 0.2) * 1000
+        assert report["latency"]["max_ms"] >= stall * 1000
+        assert report["lag_p95_ms"] >= (stall - 0.2) * 1000
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -166,11 +166,6 @@ class TestPolyhedron:
         assert big.contains(small)
         assert not small.contains(big)
 
-    def test_upper_bound(self):
-        p = Polyhedron([le(PX - 3), le(-PX)])
-        assert p.upper_bound({X: 1}) == pytest.approx(3.0)
-        assert Polyhedron([le(-PX)]).upper_bound({X: 1}) is None
-
     def test_minimize_removes_redundant(self):
         p = Polyhedron([le(PX - 1), le(PX - 5)])
         m = p.minimize()

@@ -5,8 +5,8 @@ A Python-AST lint over ``src/repro`` for two invariants no unit test can
 pin down once and for all, because new call sites keep appearing:
 
 * **Tuning knobs stay out of cache keys.**  The process-local performance
-  knobs — the DAG-parallel SCC worker count (``set_parallel_sccs``) and the
-  simplex pivot-kernel selector (``set_simplex_kernel``) — are engineered
+  knob — the DAG-parallel SCC worker count (``set_parallel_sccs``) — and
+  the simplex kernel's LP counters (``kernel_stats``) are engineered
   to be invisible to analysis results, so they must never flow into
   fingerprint or cache/memo-key construction: a key that varied with them
   would split one logical result across entries and silently defeat the
@@ -46,12 +46,8 @@ KNOB_IDENTIFIERS = frozenset(
     {
         "parallel_sccs",
         "set_parallel_sccs",
-        "simplex_kernel",
-        "set_simplex_kernel",
-        "_kernel_mode",
         "kernel_stats",
         "reset_kernel_stats",
-        "int64_available",
     }
 )
 
