@@ -63,11 +63,9 @@ class LinearizationContext:
         """Replace every non-linear monomial by its dimension symbol."""
         result: dict[Monomial, Fraction] = {}
         for monomial, coeff in polynomial.items():
-            if monomial.degree <= 1:
-                result[monomial] = result.get(monomial, Fraction(0)) + coeff
-            else:
-                dim = Monomial.of(self.dimension_for(monomial))
-                result[dim] = result.get(dim, Fraction(0)) + coeff
+            if monomial.degree > 1:
+                monomial = Monomial.of(self.dimension_for(monomial))
+            result[monomial] = result[monomial] + coeff if monomial in result else coeff
         return Polynomial(result)
 
     def linearize_atom(self, atom: Atom) -> LinearConstraint:
