@@ -283,7 +283,7 @@ class LinearConstraint:
         lead = abs(self.row[0])
         if lead == self.den:
             return self
-        # coeff / |lead| = row[i] / |row[0]|: the old denominator cancels.
+        # coeff / |lead| = row[i] / |row[0]|: the common denominator cancels.
         row = self.row
         g = math.gcd(self.const, *row)
         if g != 1:
